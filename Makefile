@@ -8,11 +8,11 @@ FUZZTIME ?= 30s
 BENCHJSON ?= BENCH_PR10.json
 
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
-# data path with and without the sketch chain, plus the Table 1 binner
-# cases); the iteration budget and scheduler width are pinned so a base run
-# and a head run on the same machine are comparable, and the 5 repeats are
-# collapsed to a per-metric median by benchjson.
-PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkTable1Binner
+# data path with and without the sketch chain, the Table 1 binner cases,
+# and each sketch block alone); the iteration budget and scheduler width are
+# pinned so a base run and a head run on the same machine are comparable,
+# and the 5 repeats are collapsed to a per-metric median by benchjson.
+PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkTable1Binner|BenchmarkBlockPushBatch
 PERF_BENCHTIME ?= 2s
 PERF_COUNT ?= 5
 PERF_GOMAXPROCS ?= 4
@@ -20,7 +20,7 @@ PERF_OUT ?= perf_head.json
 PERF_BASE ?= perf_base.json
 PERF_HEAD ?= perf_head.json
 
-.PHONY: check vet build test race fuzz bench bench-json perf-bench perf-gate lint chaos-durable
+.PHONY: check vet build test race fuzz bench bench-json bench-serve perf-bench perf-gate lint chaos-durable
 
 check: vet build race
 
@@ -65,12 +65,18 @@ bench-json:
 	$(GO) test -bench=. -benchmem -run='^$$' -count=1 -timeout=60m . | tee bench.out
 	$(GO) run ./cmd/benchjson -in bench.out -out $(BENCHJSON)
 
+# bench-serve runs the served-scan benchmark (servebench/README.md) over all
+# three workloads at the settings BENCHMARK.json declares, printing each
+# workload's end-to-end metrics and the bulk-refresh / bulk-move ratio.
+bench-serve:
+	bash servebench/run.sh --workload all --seed 1 --seconds 30 --trace 0
+
 # perf-bench runs the gated benchmark subset under pinned conditions and
 # writes one median-collapsed benchjson artifact. Run it twice — once on the
 # merge base, once on the head, same machine — then `make perf-gate`.
 perf-bench:
 	GOMAXPROCS=$(PERF_GOMAXPROCS) $(GO) test -run='^$$' -bench='$(PERF_BENCH)' \
-		-benchmem -benchtime=$(PERF_BENCHTIME) -count=$(PERF_COUNT) -timeout=30m . \
+		-benchmem -benchtime=$(PERF_BENCHTIME) -count=$(PERF_COUNT) -timeout=30m . ./internal/sketch \
 		| tee perf.out
 	$(GO) run ./cmd/benchjson -in perf.out -out $(PERF_OUT)
 

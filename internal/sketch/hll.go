@@ -6,22 +6,25 @@ import (
 	"math/bits"
 )
 
-// HLL is a HyperLogLog distinct-count sketch with the classic sparse→dense
-// promotion: while few registers are touched the sketch stores (index, rank)
-// pairs in a map, and once the map outgrows an eighth of the register file
-// it promotes to the dense 2^p-byte array. Register state is a pointwise
-// maximum, so merge is commutative and associative and the merged sketch is
-// byte-identical to the serial one under any lane sharding.
+// HLL is a HyperLogLog distinct-count sketch over one flat 2^p-byte
+// register file. Each value costs a hash, a shift and at most one register
+// store — no map, no representation switch on the hot path (the
+// line-rate layout of FPGA HLL engines). The classic sparse→dense promotion
+// survives only as an encoding choice: while at most an eighth of the
+// registers are touched and the sketch has never gone dense, MarshalBinary
+// writes (index, rank) pairs; once the touched count outgrows m/8 the sticky
+// dense flag flips and the full register file is written from then on.
+// Register state is a pointwise maximum, so merge is commutative and
+// associative and the merged sketch is byte-identical to the serial one
+// under any lane sharding.
 type HLL struct {
 	blockBase
 	p uint8  // precision: 2^p registers
 	m uint32 // register count
 
-	sparse map[uint32]uint8 // idx → max rank; nil once dense
-	dense  []uint8
-	// denseSpare is a retired register file kept across pooled reuse so a
-	// re-promoted sketch does not reallocate (see pool.go).
-	denseSpare []uint8
+	regs    []uint8 // the register file, always m bytes
+	touched uint32  // registers holding a nonzero rank
+	dense   bool    // sticky: the touched count once exceeded m/8
 }
 
 // hllMinPrecision..hllMaxPrecision bound the register file: 16 registers to
@@ -46,9 +49,9 @@ func clampPrecision(precision int) int {
 func NewHLL(precision int) *HLL {
 	precision = clampPrecision(precision)
 	return &HLL{
-		p:      uint8(precision),
-		m:      1 << precision,
-		sparse: make(map[uint32]uint8, 1<<precision/8+1),
+		p:    uint8(precision),
+		m:    1 << precision,
+		regs: make([]uint8, 1<<precision),
 	}
 }
 
@@ -61,8 +64,8 @@ func (h *HLL) Name() string { return "hll" }
 // Precision returns p (tests, rendering).
 func (h *HLL) Precision() int { return int(h.p) }
 
-// Sparse reports whether the sketch is still in its sparse representation.
-func (h *HLL) Sparse() bool { return h.sparse != nil }
+// Sparse reports whether the sketch still encodes as (index, rank) pairs.
+func (h *HLL) Sparse() bool { return !h.dense }
 
 // hashValue mixes a column value into 64 well-distributed bits (the
 // splitmix64 finaliser — the same mixer the fault injector's streams use).
@@ -81,15 +84,20 @@ func hashValue(v int64) uint64 {
 func (h *HLL) Push(_, v int64) {
 	h.items++
 	h.observe(v)
+	h.settle()
 }
 
 // PushBatch implements StatBlock. The position argument is irrelevant to a
 // distinct count.
 func (h *HLL) PushBatch(_ int64, vals []int64) {
+	if len(vals) == 0 {
+		return
+	}
 	h.items += int64(len(vals))
 	for _, v := range vals {
 		h.observe(v)
 	}
+	h.settle()
 }
 
 func (h *HLL) observe(v int64) {
@@ -105,44 +113,27 @@ func (h *HLL) observe(v int64) {
 	h.set(idx, rank)
 }
 
+// set raises one register to rank, counting registers that leave zero.
 func (h *HLL) set(idx uint32, rank uint8) {
-	if h.dense != nil {
-		if rank > h.dense[idx] {
-			h.dense[idx] = rank
+	if r := h.regs[idx]; rank > r {
+		if r == 0 {
+			h.touched++
 		}
-		return
-	}
-	if rank > h.sparse[idx] {
-		h.sparse[idx] = rank
-	}
-	if uint32(len(h.sparse)) > h.m/8 {
-		h.promote()
+		h.regs[idx] = rank
 	}
 }
 
-// promote moves the sparse pairs into the dense register file, reusing a
-// pooled spare file when one is available.
-func (h *HLL) promote() {
-	if uint32(len(h.denseSpare)) == h.m {
-		h.dense = h.denseSpare
-		h.denseSpare = nil
-		clear(h.dense)
-	} else {
-		h.dense = make([]uint8, h.m)
+// settle flips the sticky dense flag once more than m/8 registers are
+// touched. The touched count only grows, so checking once after a batch of
+// register updates lands on the same flag as checking after each one.
+func (h *HLL) settle() {
+	if h.touched > h.m/8 {
+		h.dense = true
 	}
-	for idx, rank := range h.sparse {
-		h.dense[idx] = rank
-	}
-	h.sparse = nil
 }
 
-// register reads one register in either representation.
-func (h *HLL) register(idx uint32) uint8 {
-	if h.dense != nil {
-		return h.dense[idx]
-	}
-	return h.sparse[idx]
-}
+// register reads one register (tests).
+func (h *HLL) register(idx uint32) uint8 { return h.regs[idx] }
 
 // Estimate returns the distinct-count estimate: the standard bias-corrected
 // harmonic mean, with linear counting below 2.5·m where raw HLL is biased.
@@ -150,8 +141,7 @@ func (h *HLL) Estimate() float64 {
 	m := float64(h.m)
 	var sum float64
 	var zeros float64
-	for idx := uint32(0); idx < h.m; idx++ {
-		r := h.register(idx)
+	for _, r := range h.regs {
 		sum += 1 / float64(uint64(1)<<r)
 		if r == 0 {
 			zeros++
@@ -188,19 +178,15 @@ func (h *HLL) Merge(other StatBlock) error {
 	if o.p != h.p {
 		return fmt.Errorf("sketch: merging hll precision %d into %d", o.p, h.p)
 	}
-	if o.dense != nil {
-		if h.dense == nil {
-			h.promote()
-		}
-		for idx, rank := range o.dense {
-			if rank > h.dense[idx] {
-				h.dense[idx] = rank
-			}
-		}
-	} else {
-		for idx, rank := range o.sparse {
-			h.set(idx, rank)
-		}
+	for idx, rank := range o.regs {
+		h.set(uint32(idx), rank)
+	}
+	// A dense side makes the merge dense; a sparse side settles the flag
+	// only if it carried a register at all (an empty merge updates nothing).
+	if o.dense {
+		h.dense = true
+	} else if o.touched > 0 {
+		h.settle()
 	}
 	h.absorb(&o.blockBase)
 	return nil

@@ -3,12 +3,12 @@ package sketch
 import "sync"
 
 // Block-state pools. A scan's parallel side path builds one chain per lane
-// and throws all but the merge survivor away; without reuse that is three
-// map/slice allocations per lane per scan, plus every buffer the blocks grew
-// during the stream. Chain.Release parks the retired blocks here once the
-// lane goroutine is joined (and only when the blocks provably did not escape
-// into a catalog entry or scan result), and NewChain prefers pooled state
-// with matching geometry.
+// and throws all but the merge survivor away; without reuse that is a
+// register file, a counter arena with its index, and a window ring per lane
+// per scan, regrown from nothing each time. Chain.Release parks the retired
+// blocks here once the lane goroutine is joined (and only when the blocks
+// provably did not escape into a catalog entry or scan result), and NewChain
+// prefers pooled state with matching geometry.
 //
 // Reset discipline: a reused block must be observationally identical to a
 // fresh one — same encoding bytes for the same stream, same degraded flag,
@@ -69,29 +69,23 @@ func releaseBlock(b StatBlock) {
 }
 
 // reset restores the sketch to its freshly-constructed state, keeping the
-// grown buffers. A retired dense register file is kept as the spare so a
-// later promotion does not reallocate.
+// grown buffers.
 func (h *HLL) reset() {
 	h.blockBase = blockBase{}
-	if h.dense != nil {
-		h.denseSpare = h.dense
-		h.dense = nil
-	}
-	if h.sparse == nil {
-		h.sparse = make(map[uint32]uint8, h.m/8+1)
-	} else {
-		clear(h.sparse)
-	}
+	clear(h.regs)
+	h.touched = 0
+	h.dense = false
 }
 
 func (s *SpaceSaving) reset() {
 	s.blockBase = blockBase{}
 	s.entries = s.entries[:0]
-	clear(s.index)
+	s.index.clear()
+	s.cand = s.cand[:0]
 }
 
 func (w *Window) reset() {
 	w.blockBase = blockBase{}
 	w.h = w.h[:0]
-	w.seen = false
+	w.head, w.heap = 0, false
 }

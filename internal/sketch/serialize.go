@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Binary serialisation for catalog persistence and the STATS wire, in the
@@ -58,22 +57,19 @@ func appendHeader(out []byte, kind Kind, degraded bool, items int64) []byte {
 func (h *HLL) MarshalBinary() ([]byte, error) {
 	out := appendHeader(make([]byte, 0, headerSize+2+4+int(h.m)), KindHLL, h.degraded, h.items)
 	out = append(out, h.p)
-	if h.dense != nil {
+	if h.dense {
 		out = append(out, 1)
 		out = binary.LittleEndian.AppendUint32(out, h.m)
-		out = append(out, h.dense...)
+		out = append(out, h.regs...)
 		return out, nil
 	}
 	out = append(out, 0)
-	idxs := make([]uint32, 0, len(h.sparse))
-	for idx := range h.sparse {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(idxs)))
-	for _, idx := range idxs {
-		out = binary.LittleEndian.AppendUint32(out, idx)
-		out = append(out, h.sparse[idx])
+	out = binary.LittleEndian.AppendUint32(out, h.touched)
+	for idx, rank := range h.regs {
+		if rank != 0 {
+			out = binary.LittleEndian.AppendUint32(out, uint32(idx))
+			out = append(out, rank)
+		}
 	}
 	return out, nil
 }
@@ -94,13 +90,15 @@ func (s *SpaceSaving) MarshalBinary() ([]byte, error) {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (w *Window) MarshalBinary() ([]byte, error) {
-	es := w.entries()
-	out := appendHeader(make([]byte, 0, headerSize+8+16*len(es)), KindWindow, w.degraded, w.items)
+	out := appendHeader(make([]byte, 0, headerSize+8+16*len(w.h)), KindWindow, w.degraded, w.items)
 	out = binary.LittleEndian.AppendUint32(out, uint32(w.w))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(es)))
-	for _, e := range es {
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.pos))
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.val))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.h)))
+	a, b := w.ordered()
+	for _, run := range [2][]winEntry{a, b} {
+		for _, e := range run {
+			out = binary.LittleEndian.AppendUint64(out, uint64(e.pos))
+			out = binary.LittleEndian.AppendUint64(out, uint64(e.val))
+		}
 	}
 	return out, nil
 }
@@ -245,7 +243,11 @@ func decodeHLL(d *decoder) *HLL {
 				d.fail("hll sparse entry out of range")
 				break
 			}
-			h.sparse[idx] = rank
+			// A repeated index keeps its later entry.
+			if h.regs[idx] == 0 {
+				h.touched++
+			}
+			h.regs[idx] = rank
 		}
 	case 1:
 		m := d.u32()
@@ -257,13 +259,15 @@ func decodeHLL(d *decoder) *HLL {
 		if d.err != nil {
 			return nil
 		}
-		h.dense = make([]uint8, m)
-		copy(h.dense, regs)
-		h.sparse = nil
-		for _, r := range h.dense {
+		copy(h.regs, regs)
+		h.dense = true
+		for _, r := range h.regs {
 			if r > maxRank {
 				d.fail("hll dense register out of range")
 				break
+			}
+			if r != 0 {
+				h.touched++
 			}
 		}
 	default:
@@ -282,7 +286,7 @@ func decodeSpaceSaving(d *decoder) *SpaceSaving {
 		d.fail("spacesaving geometry out of range")
 		return nil
 	}
-	s := NewSpaceSaving(int(k))
+	s := newSpaceSaving(int(k), int(n))
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		v := int64(d.u64())
 		count := int64(d.u64())
@@ -294,7 +298,7 @@ func decodeSpaceSaving(d *decoder) *SpaceSaving {
 			d.fail("spacesaving counter out of range")
 			break
 		}
-		if _, dup := s.index[v]; dup {
+		if s.index.find(v) >= 0 {
 			d.fail("spacesaving duplicate value")
 			break
 		}
@@ -326,36 +330,10 @@ func decodeWindow(d *decoder) *Window {
 			break
 		}
 		lastPos = pos
+		// Ascending positions are the ring layout with its head at 0.
 		w.h = append(w.h, winEntry{pos: pos, val: val})
-		w.seen = true
-	}
-	// Restore the heap invariant over the sorted entries (already valid for
-	// a min-heap, but heap.Init keeps this robust against layout changes).
-	if len(w.h) > 1 {
-		for i := len(w.h)/2 - 1; i >= 0; i-- {
-			siftDown(w.h, i)
-		}
 	}
 	return w
-}
-
-// siftDown restores the min-heap property at index i.
-func siftDown(h posHeap, i int) {
-	n := len(h)
-	for {
-		l, r, smallest := 2*i+1, 2*i+2, i
-		if l < n && h[l].pos < h[smallest].pos {
-			smallest = l
-		}
-		if r < n && h[r].pos < h[smallest].pos {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
 }
 
 // DecodeBlocks parses a list of serialized sketches.
