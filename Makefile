@@ -59,10 +59,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-json captures the root-package benchmark suite (one bench per paper
-# artifact plus the parallel data-path scaling group) as a JSON trajectory
-# point for CI artifacts.
+# artifact plus the parallel data-path scaling group) and the served-scan
+# benchmarks of internal/server (the loopback-TCP wire path, and what
+# durability costs a scan) as a JSON trajectory point for CI artifacts.
 bench-json:
-	$(GO) test -bench=. -benchmem -run='^$$' -count=1 -timeout=60m . | tee bench.out
+	$(GO) test -bench=. -benchmem -run='^$$' -count=1 -timeout=60m . ./internal/server | tee bench.out
 	$(GO) run ./cmd/benchjson -in bench.out -out $(BENCHJSON)
 
 # bench-serve runs the served-scan benchmark (servebench/README.md) over all
@@ -88,9 +89,13 @@ perf-gate:
 	$(GO) run ./cmd/benchdiff -base $(PERF_BASE) -head $(PERF_HEAD) \
 		-gate-throughput -max-throughput-drop 10 -max-allocs-growth 5
 
-# lint runs staticcheck when it is installed (CI installs it; locally it is
-# optional because the repo builds with the stdlib toolchain alone).
+# lint fails on any file gofmt would rewrite, then runs staticcheck when it
+# is installed (CI installs it; locally it is optional because the repo
+# builds with the stdlib toolchain alone).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

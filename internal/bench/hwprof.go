@@ -19,8 +19,8 @@ import (
 // streamhist_hwprof_consistency gauge.
 func HWProf() *Report {
 	r := &Report{
-		ID:    "hwprof",
-		Title: "Cycle attribution: where the simulated accelerator cycles go",
+		ID:      "hwprof",
+		Title:   "Cycle attribution: where the simulated accelerator cycles go",
 		Columns: []string{"stack (lane;module;stage;reason)", "cycles", "share", "events"},
 	}
 	const lanes = 4

@@ -96,6 +96,13 @@ func (v *Vector) AddCount(value, count int64) {
 	v.total += count
 }
 
+// AddIndex adds count to bin i, which the caller has already mapped and
+// range-checked (0 ≤ i < NumBins) — the binner's per-value path.
+func (v *Vector) AddIndex(i int, count int64) {
+	v.counts[i] += count
+	v.total += count
+}
+
 // Count returns the count in bin i.
 func (v *Vector) Count(i int) int64 { return v.counts[i] }
 

@@ -27,6 +27,10 @@ type Client struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	timeout time.Duration
+	// rbuf is the one payload buffer every response frame is read into
+	// (server.ReadFrameBuf): a frame's payload is valid only until the next
+	// recv, so whatever a caller keeps is decoded or copied out first.
+	rbuf []byte
 
 	redial      func() (net.Conn, error)
 	maxAttempts int
@@ -173,10 +177,14 @@ func (e *serverReplyError) Error() string { return e.err.Error() }
 func (e *serverReplyError) Unwrap() error { return e.err }
 
 // recv reads one response frame, translating FrameError payloads into
-// errors that wrap the protocol sentinels.
+// errors that wrap the protocol sentinels. The payload aliases c.rbuf and is
+// valid until the next recv: page bytes go to the sink (which must not keep
+// them, per io.Writer), and every decoder used on a response copies what it
+// keeps — strings, histogram buckets, sketch registers.
 func (c *Client) recv() (server.Frame, error) {
 	c.conn.SetReadDeadline(c.deadline())
-	f, err := server.ReadFrame(c.br)
+	f, rbuf, err := server.ReadFrameBuf(c.br, c.rbuf)
+	c.rbuf = rbuf
 	if err != nil {
 		return server.Frame{}, err
 	}

@@ -11,6 +11,9 @@ import (
 	"streamhist/internal/client"
 	"streamhist/internal/hist"
 	"streamhist/internal/server"
+	"streamhist/internal/sketch"
+	"streamhist/internal/stream"
+	"streamhist/internal/tpch"
 )
 
 // fakeServer runs fn as the server side of a pipe and returns a connected
@@ -162,5 +165,74 @@ func TestScanRejectsUnexpectedFrame(t *testing.T) {
 	})
 	if _, err := c.Scan("t", "c", io.Discard); err == nil {
 		t.Fatal("out-of-protocol frame accepted mid-scan")
+	}
+}
+
+// TestResultsOutliveTheFrameBuffer: the client reads every response frame
+// into one reused buffer, so nothing a call returns may alias it. A scan's
+// sink bytes, a Stats result (histogram and sketches) and a server error
+// must all read the same after later calls on the client have overwritten
+// that buffer with other frames.
+func TestResultsOutliveTheFrameBuffer(t *testing.T) {
+	rel := tpch.Synthetic(20000, 4, 1<<12, 1.1, 7)
+	storage, err := io.ReadAll(stream.NewPagesReader(rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{})
+	if err := srv.Register(rel); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	c := client.New(cc)
+	defer c.Close()
+
+	var first bytes.Buffer
+	if _, err := c.Scan("synthetic", "c1", &first); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats("synthetic", "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Sketches) == 0 {
+		t.Fatal("no sketches served; the test wants the default chain")
+	}
+	histRaw, _ := st.Histogram.MarshalBinary()
+	sketchRaw, _ := sketch.EncodeBlocks(st.Sketches)
+	_, noStats := c.Stats("synthetic", "c3")
+	if !errors.Is(noStats, server.ErrNoStats) {
+		t.Fatalf("got %v, want ErrNoStats", noStats)
+	}
+	noStatsMsg := noStats.Error()
+
+	// Later traffic: page frames, another stats result, a table listing.
+	var second bytes.Buffer
+	if _, err := c.Scan("synthetic", "c2", &second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats("synthetic", "c2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tables(); err != nil {
+		t.Fatal(err)
+	}
+
+	if !bytes.Equal(first.Bytes(), storage) || !bytes.Equal(second.Bytes(), storage) {
+		t.Fatal("sink bytes differ from storage")
+	}
+	if raw, _ := st.Histogram.MarshalBinary(); !bytes.Equal(raw, histRaw) {
+		t.Fatal("the Stats histogram changed after later calls")
+	}
+	raws, _ := sketch.EncodeBlocks(st.Sketches)
+	for i := range raws {
+		if !bytes.Equal(raws[i], sketchRaw[i]) {
+			t.Fatalf("Stats sketch %d changed after later calls", i)
+		}
+	}
+	if noStats.Error() != noStatsMsg {
+		t.Fatalf("the server error changed after later calls: %q, was %q", noStats.Error(), noStatsMsg)
 	}
 }

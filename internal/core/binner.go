@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"streamhist/internal/bins"
 	"streamhist/internal/faults"
 	"streamhist/internal/hw"
@@ -163,6 +165,8 @@ type Binner struct {
 	randomPeriod float64
 	burstPeriod  float64
 	latency      float64
+	// lineShift is log2(BinsPerLine) when that is a power of two, else -1.
+	lineShift int
 
 	stats BinnerStats
 	// merged accumulates the state folded in from other lanes via Merge;
@@ -207,6 +211,10 @@ func NewBinner(cfg BinnerConfig, pre *Preprocessor) *Binner {
 		randomPeriod: float64(cfg.Clock.Hz) / float64(cfg.Mem.RandomOpsPerSec),
 		burstPeriod:  float64(cfg.Clock.Hz) / float64(cfg.Mem.BurstOpsPerSec),
 		latency:      float64(cfg.Mem.LatencyCycles),
+		lineShift:    -1,
+	}
+	if bpl := cfg.Mem.BinsPerLine; bpl > 0 && bpl&(bpl-1) == 0 {
+		b.lineShift = bits.TrailingZeros(uint(bpl))
 	}
 	if numLines > 0 && numLines <= maxFlatPendingLines {
 		b.pending = scratch.pendingFor(numLines)
@@ -262,10 +270,26 @@ func (b *Binner) pushBatch(values []int64) {
 		opBefore = b.opTime
 	}
 
+	// PREPROCESS runs inline (Preprocessor.Address without the divide when
+	// the divisor is 1) and the line split is a shift when BinsPerLine is a
+	// power of two. Both only cut host time per value; the simulated timing
+	// is unchanged.
+	pre := b.pre
+	lo, div, numBins := pre.Min, pre.Divisor, pre.NumBins
 	binsPerLine := int64(b.cfg.Mem.BinsPerLine)
+	lineShift := b.lineShift
 	for _, value := range values {
-		addr, ok := b.pre.Address(value)
-		if !ok {
+		if value < lo {
+			pre.dropped++
+			b.stats.Dropped++
+			continue
+		}
+		addr := value - lo
+		if div != 1 {
+			addr /= div
+		}
+		if addr >= numBins {
+			pre.dropped++
 			b.stats.Dropped++
 			continue
 		}
@@ -286,10 +310,18 @@ func (b *Binner) pushBatch(values []int64) {
 			b.pipeTime = b.opTime - maxBacklogCycles
 		}
 
-		line := addr / binsPerLine
+		var line int64
+		if lineShift >= 0 {
+			line = addr >> lineShift
+		} else {
+			line = addr / binsPerLine
+		}
 
+		// The line's residency cannot change between READ and WRITE (only
+		// the miss path's Insert below changes it), so one probe serves both.
 		var dataReady float64
-		if b.cache.Lookup(line) {
+		hit := b.cache.Lookup(line)
+		if hit {
 			// READ served by the cache: the freshest value of the line is
 			// forwarded between pipeline stages; no memory read op.
 			b.stats.CacheHits++
@@ -332,7 +364,7 @@ func (b *Binner) pushBatch(values []int64) {
 				prof.spikeN++
 			}
 		} else {
-			b.vec.AddCount(b.pre.Min+addr*b.pre.Divisor, 1)
+			b.vec.AddIndex(int(addr), 1)
 		}
 
 		// WRITE: write-through. Ops to recently touched (cached) lines go at
@@ -340,7 +372,7 @@ func (b *Binner) pushBatch(values []int64) {
 		// only consumes port bandwidth — it does not hold back reads of
 		// later items, which is what the FIFO between the stages buys.
 		period := b.randomPeriod
-		if b.cache.Contains(line) {
+		if hit {
 			period = b.burstPeriod
 		}
 		b.opTime += period
@@ -355,7 +387,9 @@ func (b *Binner) pushBatch(values []int64) {
 		if commit > b.lastCommit {
 			b.lastCommit = commit
 		}
-		b.cache.Insert(line)
+		if !hit {
+			b.cache.Insert(line)
+		}
 
 		// Retire pending-commit entries lazily so the fallback map stays
 		// small (the flat table needs no retirement).

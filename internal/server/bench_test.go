@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -86,3 +87,52 @@ func benchmarkServedScanDurable(b *testing.B, rows int) {
 // statistics (histogram + sketch chain, tens of KB) into one WAL record —
 // fixed per mutation, not per page — so the relative overhead shrinks as
 // relations grow; the rows dimension above makes that amortization visible.
+
+// BenchmarkServedScanWire is the served scan's wire path end to end, client
+// and server in one process over loopback TCP: "move" scans with no column
+// (framing, vectored page writes, client verify and sink; the side path
+// never starts), "refresh" refreshes c1 with the default sketch chain
+// beside the stream. MB/s is page bytes delivered; allocs/op covers both
+// ends, so a per-frame allocation on either side shows up as ~one alloc per
+// frame (25 frames per scan here).
+func BenchmarkServedScanWire(b *testing.B) {
+	rel := testRelation(100_000)
+	pages, err := io.ReadAll(stream.NewPagesReader(rel))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(server.Config{})
+	if err := srv.Register(rel); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.Serve(ctx, ln)
+	for _, mode := range []struct{ name, column string }{{"move", ""}, {"refresh", "c1"}} {
+		b.Run(mode.name, func(b *testing.B) {
+			c, err := client.Dial(ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			// One warm-up scan sizes the client's frame buffer and, for
+			// refresh, the server's pooled side-path scratch.
+			if _, err := c.Scan("synthetic", mode.column, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(pages)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Scan("synthetic", mode.column, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

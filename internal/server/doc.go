@@ -8,10 +8,12 @@
 //   - Storage is the registered relation's encoded page images
 //     (internal/page), exposed as one byte stream by stream.PagesReader —
 //     the same bytes the in-process DataPath reads.
-//   - The Splitter is the scan loop: every FramePages payload written to
-//     the client is also copied into a fixed-depth side channel. The relay
-//     path does no transformation — the client receives storage's bytes,
-//     byte for byte.
+//   - The Splitter is the scan loop: every page frame is one vector of
+//     storage's own page images (sent with writev on a socket), and the
+//     same frame enters a fixed-depth side channel — by reference when no
+//     fault point can alter it, as a copy otherwise. The relay path does
+//     no transformation — the client receives storage's bytes, byte for
+//     byte.
 //   - The statistical circuit is the drain worker behind the channel: the
 //     Parser FSM extracts the requested column from the copied page bytes
 //     and the cycle-accounted Binner bin-sorts it (internal/core), exactly

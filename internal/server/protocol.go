@@ -132,13 +132,19 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends the encoding of one frame to dst.
-func AppendFrame(dst []byte, typ uint8, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
+// putHeader encodes the header of a frame carrying n payload bytes into
+// hdr[:FrameHeaderSize].
+func putHeader(hdr []byte, typ uint8, n int) {
 	binary.LittleEndian.PutUint16(hdr[0:2], FrameMagic)
 	hdr[2] = typ
 	hdr[3] = 0
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
+}
+
+// AppendFrame appends the encoding of one frame to dst.
+func AppendFrame(dst []byte, typ uint8, payload []byte) []byte {
+	var hdr [FrameHeaderSize]byte
+	putHeader(hdr[:], typ, len(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -149,10 +155,7 @@ func WriteFrame(w io.Writer, typ uint8, payload []byte) error {
 		return fmt.Errorf("%w: payload %d exceeds limit %d", ErrBadFrame, len(payload), MaxPayload)
 	}
 	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], FrameMagic)
-	hdr[2] = typ
-	hdr[3] = 0
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	putHeader(hdr[:], typ, len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -164,34 +167,47 @@ func WriteFrame(w io.Writer, typ uint8, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame from r, rejecting oversized payloads before
-// allocating. It returns io.EOF only when the stream ends cleanly between
-// frames.
+// ReadFrame reads one frame from r into a freshly allocated payload,
+// rejecting oversized payloads before allocating. It returns io.EOF only
+// when the stream ends cleanly between frames.
 func ReadFrame(r io.Reader) (Frame, error) {
+	f, _, err := ReadFrameBuf(r, nil)
+	return f, err
+}
+
+// ReadFrameBuf is ReadFrame reading the payload into buf, which it grows
+// when the payload does not fit and returns for the next call. The payload
+// aliases that buffer: it is valid only until the buffer is reused, so a
+// caller that keeps payload bytes must copy them. A connection that keeps
+// one buffer reads every frame without allocating.
+func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Frame{}, err // clean EOF stays io.EOF
+		return Frame{}, buf, err // clean EOF stays io.EOF
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	f, n, err := decodeHeader(hdr[:])
 	if err != nil {
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	if n > 0 {
-		f.Payload = make([]byte, n)
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		f.Payload = buf[:n]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return Frame{}, err
+			return Frame{}, buf, err
 		}
 	}
-	return f, nil
+	return f, buf, nil
 }
 
 // decodeHeader validates a frame header and returns the declared payload

@@ -175,7 +175,7 @@ func TestClientSkipsRedeliveredPages(t *testing.T) {
 					payload = binary.LittleEndian.AppendUint32(payload,
 						page.Checksum(want[i*page.Size:(i+1)*page.Size]))
 				}
-				payload[k*page.Size] ^= 0xFF // damage page k after the trailer
+				payload[k*page.Size] ^= 0xFF                             // damage page k after the trailer
 				server.WriteFrame(fakeSrv, server.FramePagesCk, payload) //nolint:errcheck
 			}()
 

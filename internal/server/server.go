@@ -49,7 +49,9 @@ type Config struct {
 	PagesPerFrame int
 	// IdleTimeout bounds the wait for the next request on a connection.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response frame write.
+	// WriteTimeout bounds each write of at most 64 KiB on a connection, so
+	// it measures lack of progress: a scan to a slow but live client renews
+	// it with every write the client absorbs.
 	WriteTimeout time.Duration
 	// ShutdownGrace bounds the drain when Serve's context is cancelled.
 	ShutdownGrace time.Duration
@@ -483,31 +485,51 @@ func (s *Server) closeAllConns() {
 	s.connMu.Unlock()
 }
 
-// deadlineWriter is the per-connection write path: every chunk it pushes to
-// the connection re-arms the write deadline first, so the deadline bounds
-// *lack of progress*, not total transfer time. A multi-frame scan to a slow
-// but live client keeps extending its own deadline with every chunk the
-// client absorbs; a dead client stops absorbing and trips the very next
-// chunk. Writes are split into modest chunks so that progress is measured
-// at sub-frame granularity even on unbuffered transports like net.Pipe.
+// deadlineWriter is the per-connection write path: every write call it
+// makes on the connection moves at most deadlineChunk bytes and re-arms the
+// write deadline first, so the deadline bounds *lack of progress*, not total
+// transfer time. A multi-frame scan to a slow but live client keeps
+// extending its own deadline with every chunk the client absorbs; a dead
+// client stops absorbing and trips the very next chunk. Control frames come
+// through the connection's bufio writer, whose flushes Write splits; page
+// frames go out through writeFrameVec. Either way progress is measured per
+// ≤64 KiB write, below frame granularity.
 type deadlineWriter struct {
 	conn    net.Conn
 	timeout time.Duration
+	// writev is set for connections that turn net.Buffers into one writev
+	// call (TCP and Unix sockets).
+	writev bool
+	// grp backs the vector group in flight and vec is its header, which
+	// net.Buffers.WriteTo consumes; both live here so a vectored write
+	// allocates nothing.
+	grp [][]byte
+	vec net.Buffers
 }
 
 // deadlineChunk is the largest single write between deadline refreshes.
-const deadlineChunk = 16 << 10
+const deadlineChunk = 64 << 10
+
+func newDeadlineWriter(conn net.Conn, timeout time.Duration) *deadlineWriter {
+	w := &deadlineWriter{conn: conn, timeout: timeout}
+	switch conn.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		w.writev = true
+	}
+	return w
+}
+
+func (w *deadlineWriter) arm() {
+	if w.timeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+}
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
 	var total int
 	for len(p) > 0 {
-		n := len(p)
-		if n > deadlineChunk {
-			n = deadlineChunk
-		}
-		if w.timeout > 0 {
-			w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-		}
+		n := min(len(p), deadlineChunk)
+		w.arm()
 		wrote, err := w.conn.Write(p[:n])
 		total += wrote
 		if err != nil {
@@ -518,6 +540,44 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// writeFrameVec sends one frame's pieces in order, after whatever bw (the
+// bufio writer over w) holds. On a writev connection bw is flushed and the
+// pieces go out as vectored writes, consecutive pieces packed into groups
+// of at most deadlineChunk bytes, each under a fresh deadline; every piece
+// must itself fit in deadlineChunk (the scan's pieces are a frame header,
+// 8 KiB page images and a checksum trailer). Any other connection (net.Pipe,
+// a wrapped conn) would take one Write per piece from net.Buffers, so there
+// the pieces are buffered through bw like any other frame. The caller's
+// slice is left intact.
+func (w *deadlineWriter) writeFrameVec(bw *bufio.Writer, pieces [][]byte) error {
+	if !w.writev {
+		for _, p := range pieces {
+			if _, err := bw.Write(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	for len(pieces) > 0 {
+		n, size := 1, len(pieces[0])
+		for n < len(pieces) && size+len(pieces[n]) <= deadlineChunk {
+			size += len(pieces[n])
+			n++
+		}
+		w.grp = append(w.grp[:0], pieces[:n]...)
+		w.vec = w.grp
+		w.arm()
+		if _, err := w.vec.WriteTo(w.conn); err != nil {
+			return err
+		}
+		pieces = pieces[n:]
+	}
+	return nil
+}
+
 // handleConn runs one connection's request loop.
 func (s *Server) handleConn(conn net.Conn, st *connState) {
 	defer func() {
@@ -526,7 +586,8 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		s.wg.Done()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, timeout: s.cfg.WriteTimeout}, 64<<10)
+	dw := newDeadlineWriter(conn, s.cfg.WriteTimeout)
+	bw := bufio.NewWriterSize(dw, 64<<10)
 	for {
 		if s.shuttingDown() {
 			return
@@ -541,7 +602,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		st.mu.Lock()
 		st.active = true
 		st.mu.Unlock()
-		err = s.dispatch(conn, bw, f)
+		err = s.dispatch(conn, dw, bw, f)
 		st.mu.Lock()
 		st.active = false
 		st.mu.Unlock()
@@ -553,15 +614,16 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 
 // dispatch handles one request frame. A returned error means the connection
 // is unusable (I/O failure); request-level failures are reported to the
-// client in a FrameError and return nil.
-func (s *Server) dispatch(conn net.Conn, bw *bufio.Writer, f Frame) error {
+// client in a FrameError and return nil. bw buffers control frames on top of
+// dw; scans send their page frames through dw.writeFrameVec.
+func (s *Server) dispatch(conn net.Conn, dw *deadlineWriter, bw *bufio.Writer, f Frame) error {
 	switch f.Type {
 	case FrameScan:
 		req, err := DecodeScanRequest(f.Payload)
 		if err != nil {
 			return s.writeError(bw, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		}
-		return s.handleScan(conn, bw, req)
+		return s.handleScan(conn, dw, bw, req)
 	case FrameStats:
 		req, err := DecodeScanRequest(f.Payload)
 		if err != nil {
@@ -606,7 +668,7 @@ func (s *Server) writeError(bw *bufio.Writer, err error) error {
 // request offset resumes an interrupted scan at that page: the remaining
 // pages stream normally, but the side path is skipped — a partial scan
 // cannot yield an honest histogram — and the summary reports Degraded.
-func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (err error) {
+func (s *Server) handleScan(conn net.Conn, dw *deadlineWriter, bw *bufio.Writer, req ScanRequest) (err error) {
 	// The scan number keys everything observable about this scan: its fault
 	// fork, its trace, and its log records.
 	id := uint64(s.scanSeq.Add(1))
@@ -767,28 +829,45 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 	sideWanted := req.Column != "" && meta.ok
 
 	si := tr.Begin("stream")
-	frame := make([]byte, 0, s.cfg.PagesPerFrame*(page.Size+PageChecksumSize))
-	for off := start; off < len(pages); off += s.cfg.PagesPerFrame {
-		end := off + s.cfg.PagesPerFrame
-		if end > len(pages) {
-			end = len(pages)
-		}
-		frame = frame[:0]
+	// Each page frame is one vector — header, the entry's stable page
+	// images, checksum trailer — so on a socket no page byte is copied on
+	// its way out (writeFrameVec).
+	ppf := s.cfg.PagesPerFrame
+	hdr := make([]byte, FrameHeaderSize)
+	trailer := make([]byte, 0, ppf*PageChecksumSize)
+	imgs := make([][]byte, 0, ppf)
+	vec := make([][]byte, 0, ppf+2)
+	// damaged holds scratch copies of injected-corrupt pages, reused frame
+	// to frame: the wire write and the side copy both finish with a frame
+	// before the next one is built.
+	var damaged []byte
+	for off := start; off < len(pages); off += ppf {
+		end := min(off+ppf, len(pages))
+		imgs = imgs[:0]
 		for _, pg := range pages[off:end] {
-			frame = append(frame, pg.Bytes()...)
+			imgs = append(imgs, pg.Bytes())
 		}
+		trailer = trailer[:0]
 		for _, ck := range sums[off:end] {
-			frame = binary.LittleEndian.AppendUint32(frame, ck)
+			trailer = binary.LittleEndian.AppendUint32(trailer, ck)
 		}
 		// Injected in-flight corruption: the damage lands after the
-		// checksum trailer was appended, exactly like a relay flipping
+		// checksum trailer was computed, exactly like a relay flipping
 		// bits after storage vouched for the bytes. The wire carries the
-		// corrupt image (the raw path fails open and never rewrites
-		// data); the trailer is what lets the consumers catch it.
+		// corrupt image — a scratch copy swapped into the vector, so the
+		// stable image stays clean (the raw path fails open and never
+		// rewrites data); the trailer is what lets the consumers catch it.
 		for i := off; i < end; i++ {
 			if inj.Should(faults.PageCorrupt) {
-				pos := (i-off)*page.Size + int(inj.Intn(faults.PageCorrupt, page.Size))
-				frame[pos] ^= byte(1 + inj.Intn(faults.PageCorrupt, 255))
+				if damaged == nil {
+					damaged = make([]byte, ppf*page.Size)
+				}
+				k := i - off
+				img := damaged[k*page.Size : (k+1)*page.Size]
+				copy(img, imgs[k])
+				pos := inj.Intn(faults.PageCorrupt, page.Size)
+				img[pos] ^= byte(1 + inj.Intn(faults.PageCorrupt, 255))
+				imgs[k] = img
 			}
 		}
 		if inj.Should(faults.ConnReset) {
@@ -797,16 +876,18 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 			conn.Close()
 			return fmt.Errorf("server: injected connection reset")
 		}
-		if werr := WriteFrame(bw, FramePagesCk, frame); werr != nil {
+		n := (end - off) * page.Size
+		putHeader(hdr, FramePagesCk, n+len(trailer))
+		vec = append(append(append(vec[:0], hdr), imgs...), trailer)
+		if werr := dw.writeFrameVec(bw, vec); werr != nil {
 			return werr
 		}
-		n := (end - off) * page.Size
 		sum.Pages += uint32(end - off)
 		sum.Bytes += uint64(n)
 		dm.ScanProgress(jid, uint32(end))
 		journalHW = uint32(end)
 		if sp != nil {
-			sp.feed(frame[:n], off, inj)
+			sp.feed(imgs, off, inj)
 		}
 	}
 	tr.End(si, 0)
@@ -1094,16 +1175,17 @@ func (s *Server) startSidePath(entry *tableEntry, req ScanRequest, meta colMeta,
 	return sp
 }
 
-// feed hands the next live lane a copy of one relayed frame, round-robin. A
-// full lane channel applies backpressure up to SideStallTimeout — bounded
-// memory — after which the lane is presumed stuck and retired; a lane whose
+// feed hands the next live lane a copy of one relayed frame — imgs are the
+// page images the wire vector carried, in order — round-robin. A full lane
+// channel applies backpressure up to SideStallTimeout — bounded memory —
+// after which the lane is presumed stuck and retired; a lane whose
 // goroutine died is retired on sight. When no live lane remains the frame
 // is dropped and the eventual histogram honestly reports the loss.
-func (sp *sidePath) feed(b []byte, pageOff int, inj *faults.Injector) {
+func (sp *sidePath) feed(imgs [][]byte, pageOff int, inj *faults.Injector) {
 	if sp.cancelled.Load() {
 		return // watchdog fired: the side path is already forfeit
 	}
-	intended := len(b) / page.Size
+	intended := len(imgs)
 	var f sideFrame
 	if sp.zeroCopy {
 		// No fault point can shorten or damage the side copy, so the frame
@@ -1112,14 +1194,21 @@ func (sp *sidePath) feed(b []byte, pageOff int, inj *faults.Injector) {
 		// the lane parses the images in place.
 		f = sideFrame{pageOff: pageOff, intended: intended}
 	} else {
+		limit := intended * page.Size
 		if inj.Should(faults.PageTruncate) {
 			// Injected short copy: the splitter's DMA slipped and the side
 			// buffer holds only a prefix of the frame. The wire already
 			// carried the full bytes; only the statistic's copy is short.
-			b = b[:inj.Intn(faults.PageTruncate, int64(len(b)))]
+			limit = int(inj.Intn(faults.PageTruncate, int64(limit)))
 		}
+		// The copy is assembled from the same pieces the wire sent,
+		// damaged pages included.
 		bufp := sp.s.bufPool.Get().(*[]byte)
-		*bufp = append((*bufp)[:0], b...)
+		buf := (*bufp)[:0]
+		for _, img := range imgs {
+			buf = append(buf, img[:min(len(img), limit-len(buf))]...)
+		}
+		*bufp = buf
 		f = sideFrame{bufp: bufp, pageOff: pageOff, intended: intended}
 	}
 
